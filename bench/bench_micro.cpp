@@ -2,12 +2,16 @@
  * @file
  * Google-benchmark microbenchmarks for the hot paths of the checking
  * pipeline: template extraction, identifier-set operations, automaton
- * transitions, mining, and end-to-end per-message monitoring cost.
+ * transitions, the per-record timeout sweep, mining, and end-to-end
+ * per-message monitoring cost.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "common/uuid.hpp"
+#include "core/checker/interleaved_checker.hpp"
 #include "core/mining/dependency_miner.hpp"
 #include "core/mining/model_builder.hpp"
 #include "eval/accuracy_harness.hpp"
@@ -232,6 +236,68 @@ BENCHMARK(BM_MonitorScalesWithUsers)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_SweepTimeouts(benchmark::State &state)
+{
+    // The per-record timeout sweep (the `checker.sweep` layer) at
+    // range(0) live groups, with none due (range(1) == 0) or exactly
+    // one due per sweep. Manual time: only the sweep is timed, not the
+    // untimed feed that makes the next group due.
+    const int live = static_cast<int>(state.range(0));
+    const bool one_due = state.range(1) != 0;
+    logging::TemplateCatalog catalog;
+    logging::TemplateId start = catalog.intern("svc", "start");
+    logging::TemplateId done = catalog.intern("svc", "done");
+    core::TaskAutomaton task("task", {{start, 0}, {done, 0}},
+                             {{0, 1, false}});
+    core::CheckerConfig config;
+    config.zombieAbsorption = false; // a due group leaves; count stays
+    core::InterleavedChecker checker(config, {&task});
+    const core::BaseChecker::TimeoutResolver resolver =
+        [](const std::vector<std::string> &) { return 10.0; };
+    logging::IdentifierInterner &interner =
+        logging::IdentifierInterner::process();
+
+    logging::RecordId record = 1;
+    auto message = [&](const std::string &id, common::SimTime time) {
+        core::CheckMessage m;
+        m.tpl = start;
+        m.identifiers = {interner.intern(id)};
+        m.record = record++;
+        m.time = time;
+        return m;
+    };
+    const int standing = one_due ? live - 1 : live;
+    for (int i = 0; i < standing; ++i)
+        checker.feed(message("sweep-" + std::to_string(i), i * 1e-3));
+    const common::SimTime now = 1.0 + live * 1e-3;
+    checker.sweepTimeouts(now, resolver); // resolve every timeout
+
+    for (auto _ : state) {
+        if (one_due)
+            checker.feed(message("sweep-due", now - 11.0));
+        auto t0 = std::chrono::steady_clock::now();
+        std::vector<core::CheckEvent> events =
+            checker.sweepTimeouts(now, resolver);
+        auto t1 = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(events);
+        state.SetIterationTime(
+            std::chrono::duration<double>(t1 - t0).count());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+    state.counters["live_groups"] = static_cast<double>(live);
+}
+BENCHMARK(BM_SweepTimeouts)
+    ->Args({10, 0})
+    ->Args({50, 0})
+    ->Args({200, 0})
+    ->Args({1000, 0})
+    ->Args({10, 1})
+    ->Args({50, 1})
+    ->Args({200, 1})
+    ->Args({1000, 1})
+    ->UseManualTime();
 
 void
 BM_StreamMerge(benchmark::State &state)

@@ -35,6 +35,9 @@ AutomatonGroup::consume(logging::TemplateId tpl, logging::RecordId record,
         if (instance.consume(tpl, now))
             kept.push_back(std::move(instance));
     }
+    // Fewer candidates may mean a shorter timeout: re-resolve.
+    if (kept.size() < candidates.size())
+        sweep.resolved = false;
     candidates = std::move(kept);
     signatureValid = false;
     consumedMessages.push_back({record, tpl, now});
@@ -91,12 +94,19 @@ std::vector<std::string>
 AutomatonGroup::candidateTaskNames() const
 {
     std::vector<std::string> out;
+    candidateTaskNames(out);
+    return out;
+}
+
+void
+AutomatonGroup::candidateTaskNames(std::vector<std::string> &out) const
+{
+    out.clear();
     for (const AutomatonInstance &instance : candidates) {
         const std::string &name = instance.automaton().name();
         if (std::find(out.begin(), out.end(), name) == out.end())
             out.push_back(name);
     }
-    return out;
 }
 
 bool
@@ -130,6 +140,7 @@ AutomatonGroup::cloneAs(GroupId new_id) const
     copy.childIds.clear();
     copy.rivalSetId = 0;
     copy.parentId = groupId;
+    copy.sweep = SweepSlot{};
     return copy;
 }
 
@@ -217,6 +228,7 @@ AutomatonGroup::restoreState(
     isZombie = in.readBool();
     signatureValid = false;
     signatureCache.clear();
+    sweep = SweepSlot{};
     return in.ok();
 }
 

@@ -111,6 +111,12 @@ class AutomatonGroup
     std::vector<std::string> candidateTaskNames() const;
 
     /**
+     * Same names, written into `out` (cleared first) so a caller that
+     * keeps one buffer resolves timeouts without allocating per group.
+     */
+    void candidateTaskNames(std::vector<std::string> &out) const;
+
+    /**
      * Equivalence for the paper's random-selection heuristic: same
      * instance kinds in the same states.
      */
@@ -198,18 +204,38 @@ class AutomatonGroup
      */
     std::size_t approxRetainedBytes() const;
 
+    /**
+     * Timeout-sweep bookkeeping (DESIGN.md §4, "Timeout sweep"): the
+     * resolved timeout and the group's slot in the checker's deadline
+     * heap. Derived state owned by InterleavedChecker: never
+     * persisted, reset by cloneAs and restoreState, and the timeout
+     * is dropped whenever consume() narrows the candidate set.
+     */
+    struct SweepSlot
+    {
+        static constexpr std::uint32_t kUnindexed = 0xffffffffu;
+        double timeout = 0.0;
+        std::uint32_t heapIndex = kUnindexed;
+        bool resolved = false;
+    };
+
+    SweepSlot &sweepSlot() { return sweep; }
+    const SweepSlot &sweepSlot() const { return sweep; }
+
   private:
     GroupId groupId;
     std::vector<AutomatonInstance> candidates;
     std::vector<ConsumedMessage> consumedMessages;
     mutable std::string signatureCache;
-    mutable bool signatureValid = false;
     common::SimTime lastActivityTime = 0.0;
     common::SimTime creationTime = 0.0;
-    bool anyConsumed = false;
     GroupId parentId = 0;
     std::vector<GroupId> childIds;
     std::uint64_t rivalSetId = 0;
+    SweepSlot sweep;
+    // Flags last, packed into one word.
+    mutable bool signatureValid = false;
+    bool anyConsumed = false;
     bool isZombie = false;
 };
 

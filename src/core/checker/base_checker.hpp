@@ -41,6 +41,9 @@ class BaseChecker
     /**
      * Resolves the timeout for a group from the task names it still
      * tracks (per-task timeouts from the estimator, or a constant).
+     * It must be a pure function of the names, and the same one on
+     * every sweep of an engine: engines resolve a group once and again
+     * only after its candidate set narrows (DESIGN.md §4).
      */
     using TimeoutResolver =
         std::function<double(const std::vector<std::string> &)>;

@@ -1,6 +1,8 @@
 #include "core/checker/interleaved_checker.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string_view>
 
 #include "common/error.hpp"
@@ -405,7 +407,7 @@ InterleavedChecker::registerGroup(AutomatonGroup &&group,
     std::uint64_t set_id = findOrCreateIdSet(std::move(initial_ids));
     idsets.at(set_id).groupIds.push_back(gid);
     groupToSet[gid] = set_id;
-    groups.emplace(gid, std::move(group));
+    deadlineLower(groups.emplace(gid, std::move(group)).first->second);
     if (tracer != nullptr)
         tracer->beginSpan(gid, traceNow);
 }
@@ -492,6 +494,9 @@ InterleavedChecker::eraseGroup(GroupId group)
         }
         groupToSet.erase(map_it);
     }
+    std::uint32_t slot = it->second.sweepSlot().heapIndex;
+    if (!deadlinesStale && slot != AutomatonGroup::SweepSlot::kUnindexed)
+        deadlineRemoveAt(slot);
     groups.erase(it);
 }
 
@@ -751,6 +756,7 @@ InterleavedChecker::feed(const CheckMessage &message)
         bool ok =
             group.consume(message.tpl, message.record, message.time);
         CS_ASSERT(ok, "decisive consumption failed after canConsume");
+        deadlineLower(group);
         if (tracer != nullptr)
             tracer->annotate(gid, message.time,
                              obs::ConsumeAnnotation::Decisive);
@@ -796,7 +802,8 @@ InterleavedChecker::feed(const CheckMessage &message)
             groups.at(gid).addChild(clone_id);
             idsets.at(set_id).groupIds.push_back(clone_id);
             groupToSet[clone_id] = set_id;
-            groups.emplace(clone_id, std::move(clone));
+            deadlineLower(
+                groups.emplace(clone_id, std::move(clone)).first->second);
             if (tracer != nullptr) {
                 tracer->beginSpan(clone_id, message.time);
                 tracer->annotate(clone_id, message.time,
@@ -924,6 +931,7 @@ InterleavedChecker::feed(const CheckMessage &message)
             if (it->second.consumeWithRepair(message.tpl, message.record,
                                              message.time, &repaired)) {
                 ++counters.recoveredFalseDependency;
+                deadlineLower(it->second);
                 if (tracer != nullptr)
                     tracer->annotate(gid, message.time,
                                      obs::ConsumeAnnotation::
@@ -995,26 +1003,43 @@ InterleavedChecker::sweepTimeouts(common::SimTime now,
 {
     std::vector<CheckEvent> events;
     traceNow = now;
-    std::vector<GroupId> snapshot;
-    snapshot.reserve(groups.size());
-    for (const auto &[gid, group] : groups)
-        snapshot.push_back(gid);
+    if (deadlinesStale)
+        rebuildDeadlines();
 
-    for (GroupId gid : snapshot) {
-        auto it = groups.find(gid);
-        if (it == groups.end())
-            continue;
-        AutomatonGroup &group = it->second;
-        double timeout = resolver(group.candidateTaskNames());
+    // Every group whose lower bound has passed may be due; all others
+    // are provably not (a NaN `now` pops everything, as every exact
+    // predicate must then be evaluated).
+    dueScratch.clear();
+    while (!deadlines.empty() && !(deadlines.front().key > now)) {
+        dueScratch.push_back(deadlines.front().group);
+        deadlineRemoveAt(0);
+    }
+    // Ascending group id, the order of a full scan: erasures and the
+    // zombie horizon earlier in the sweep feed later decisions.
+    std::sort(dueScratch.begin(), dueScratch.end(),
+              [](const AutomatonGroup *a, const AutomatonGroup *b) {
+                  return a->id() < b->id();
+              });
+
+    // Each step erases at most the group it visits, so the remaining
+    // pointers stay valid.
+    for (AutomatonGroup *entry : dueScratch) {
+        AutomatonGroup &group = *entry;
+        GroupId gid = group.id();
+        double timeout = resolvedTimeout(group, resolver);
         maxResolvedTimeout = std::max(maxResolvedTimeout, timeout);
         if (group.zombie()) {
             // Zombies linger to absorb late messages, then fade.
             if (now - group.lastActivity() > 3.0 * maxResolvedTimeout)
                 eraseGroup(gid);
+            else
+                deadlineLower(group);
             continue;
         }
-        if (now - group.lastActivity() <= timeout)
+        if (now - group.lastActivity() <= timeout) {
+            deadlineLower(group);
             continue;
+        }
         if (config.timeoutSuppression && lineageCovered(group, now,
                                                         timeout)) {
             ++counters.timeoutsSuppressed;
@@ -1024,12 +1049,158 @@ InterleavedChecker::sweepTimeouts(common::SimTime now,
         ++counters.timeoutsReported;
         traceEnd(group, now, obs::SpanEnd::TimedOut);
         events.push_back(makeEvent(CheckEventKind::Timeout, group, now));
-        if (config.zombieAbsorption)
+        if (config.zombieAbsorption) {
             group.markZombie();
-        else
+            deadlineLower(group);
+        } else {
             eraseGroup(gid);
+        }
     }
     return events;
+}
+
+double
+InterleavedChecker::resolvedTimeout(AutomatonGroup &group,
+                                    const TimeoutResolver &resolver)
+{
+    AutomatonGroup::SweepSlot &slot = group.sweepSlot();
+    if (!slot.resolved) {
+        group.candidateTaskNames(nameScratch);
+        slot.timeout = resolver(nameScratch);
+        slot.resolved = true;
+    }
+    return slot.timeout;
+}
+
+namespace {
+
+/**
+ * Lower bound on the first `now` at which `now - last > span` (or its
+ * negation `!(now - last <= span)`) holds: last + span, lowered by a
+ * relative margin far above the rounding of that addition and of the
+ * predicate's subtraction. A NaN bound becomes -inf, so the group is
+ * simply re-checked on every sweep.
+ */
+common::SimTime
+lowerBoundDue(common::SimTime last, double span)
+{
+    common::SimTime key = last + span;
+    if (std::isnan(key))
+        return -std::numeric_limits<common::SimTime>::infinity();
+    if (std::isinf(key))
+        return key;
+    return key - (std::fabs(last) + std::fabs(span)) * 0x1p-40;
+}
+
+} // namespace
+
+common::SimTime
+InterleavedChecker::deadlineKey(const AutomatonGroup &group) const
+{
+    const AutomatonGroup::SweepSlot &slot = group.sweepSlot();
+    // A timeout above the horizon (possible only after bulk surgery
+    // lowered it) must be folded in by the sweep in id order.
+    if (!slot.resolved || slot.timeout > maxResolvedTimeout)
+        return -std::numeric_limits<common::SimTime>::infinity();
+    return lowerBoundDue(group.lastActivity(),
+                         group.zombie() ? 3.0 * maxResolvedTimeout
+                                        : slot.timeout);
+}
+
+void
+InterleavedChecker::deadlineLower(AutomatonGroup &group)
+{
+    if (deadlinesStale)
+        return;
+    common::SimTime key = deadlineKey(group);
+    std::uint32_t index = group.sweepSlot().heapIndex;
+    if (index == AutomatonGroup::SweepSlot::kUnindexed) {
+        deadlines.push_back({key, &group});
+        deadlineSiftUp(deadlines.size() - 1);
+    } else if (key < deadlines[index].key) {
+        // A later bound is left alone: the stale entry stays a valid
+        // lower bound and is re-keyed exactly when it pops.
+        deadlines[index].key = key;
+        deadlineSiftUp(index);
+    }
+}
+
+void
+InterleavedChecker::deadlinePlace(std::size_t index, const Deadline &entry)
+{
+    deadlines[index] = entry;
+    entry.group->sweepSlot().heapIndex = static_cast<std::uint32_t>(index);
+}
+
+void
+InterleavedChecker::deadlineSiftUp(std::size_t index)
+{
+    Deadline entry = deadlines[index];
+    while (index > 0) {
+        std::size_t parent = (index - 1) / 2;
+        if (!(entry.key < deadlines[parent].key))
+            break;
+        deadlinePlace(index, deadlines[parent]);
+        index = parent;
+    }
+    deadlinePlace(index, entry);
+}
+
+void
+InterleavedChecker::deadlineSiftDown(std::size_t index)
+{
+    Deadline entry = deadlines[index];
+    const std::size_t size = deadlines.size();
+    for (;;) {
+        std::size_t child = 2 * index + 1;
+        if (child >= size)
+            break;
+        if (child + 1 < size &&
+            deadlines[child + 1].key < deadlines[child].key) {
+            ++child;
+        }
+        if (!(deadlines[child].key < entry.key))
+            break;
+        deadlinePlace(index, deadlines[child]);
+        index = child;
+    }
+    deadlinePlace(index, entry);
+}
+
+void
+InterleavedChecker::deadlineRemoveAt(std::size_t index)
+{
+    deadlines[index].group->sweepSlot().heapIndex =
+        AutomatonGroup::SweepSlot::kUnindexed;
+    Deadline last = deadlines.back();
+    deadlines.pop_back();
+    if (index == deadlines.size())
+        return;
+    deadlinePlace(index, last);
+    deadlineSiftUp(index);
+    deadlineSiftDown(last.group->sweepSlot().heapIndex);
+}
+
+void
+InterleavedChecker::markDeadlinesStale()
+{
+    deadlines.clear();
+    deadlinesStale = true;
+}
+
+void
+InterleavedChecker::rebuildDeadlines()
+{
+    deadlines.clear();
+    deadlines.reserve(groups.size());
+    for (auto &[gid, group] : groups) {
+        group.sweepSlot().heapIndex =
+            static_cast<std::uint32_t>(deadlines.size());
+        deadlines.push_back({deadlineKey(group), &group});
+    }
+    for (std::size_t i = deadlines.size() / 2; i-- > 0;)
+        deadlineSiftDown(i);
+    deadlinesStale = false;
 }
 
 std::vector<CheckEvent>
@@ -1335,8 +1506,8 @@ InterleavedChecker::saveState(common::BinWriter &out) const
     out.writeF64(maxResolvedTimeout);
 }
 
-bool
-InterleavedChecker::restoreState(common::BinReader &in)
+void
+InterleavedChecker::clearState()
 {
     groups.clear();
     removalCounts.clear();
@@ -1344,8 +1515,21 @@ InterleavedChecker::restoreState(common::BinReader &in)
     groupToSet.clear();
     postings.clear();
     setsByContents.clear();
-
     counters = CheckerStats{};
+    nextGroupId = nextIdSetId = nextRivalSet = 1;
+    maxResolvedTimeout = 0.0;
+    deadlines.clear();
+    deadlinesStale = false;
+}
+
+bool
+InterleavedChecker::restoreState(common::BinReader &in)
+{
+    clearState();
+    // Restored groups carry no sweep slots; index them at the first
+    // sweep, against the restored horizon.
+    markDeadlinesStale();
+
     counters.messages = in.readU64();
     counters.decisive = in.readU64();
     counters.ambiguous = in.readU64();
@@ -1442,6 +1626,7 @@ InterleavedChecker::renumber(
         return it == map.end() ? id : it->second;
     };
     auto gid_fn = [&](GroupId gid) { return mapped(gid_map, gid); };
+    markDeadlinesStale(); // the groups move to new map nodes
     auto rival_fn = [&](std::uint64_t rival) {
         return mapped(rival_map, rival);
     };
@@ -1490,6 +1675,8 @@ void
 InterleavedChecker::moveGroupsInto(InterleavedChecker &target,
                                    const std::vector<GroupId> &gids)
 {
+    markDeadlinesStale();
+    target.markDeadlinesStale();
     std::vector<std::uint64_t> moved_sets;
     for (GroupId gid : gids) {
         auto rel = groupToSet.find(gid);

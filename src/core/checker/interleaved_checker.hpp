@@ -128,7 +128,19 @@ class InterleavedChecker : public BaseChecker
     std::vector<CheckEvent> sweepTimeouts(common::SimTime now,
                                           double timeout);
 
-    /** Timeout criterion with a per-group timeout resolver. */
+    /**
+     * Timeout criterion with a per-group timeout resolver.
+     *
+     * Cost is proportional to the groups that may be due, not to the
+     * live groups (DESIGN.md §4, "Timeout sweep"): a deadline heap
+     * keyed by a lower bound on each group's next due time yields the
+     * candidates, which are then checked with the exact predicates in
+     * ascending group id. Resolver contract: it must be a pure
+     * function of the candidate task names, the same one on every
+     * call for this checker's lifetime. It is consulted once when a
+     * group is first swept and again after its candidate set narrows,
+     * not on every sweep.
+     */
     std::vector<CheckEvent>
     sweepTimeouts(common::SimTime now,
                   const TimeoutResolver &resolver) override;
@@ -287,6 +299,10 @@ class InterleavedChecker : public BaseChecker
      */
     friend class ShardedChecker;
 
+    /** Test peer: replays the full-scan sweep as a differential
+     *  oracle for the deadline-indexed one. */
+    friend class SweepScanOracle;
+
     struct IdSetEntry
     {
         IdentifierSet ids;
@@ -423,6 +439,62 @@ class InterleavedChecker : public BaseChecker
 
     /** Largest timeout handed out so far (zombie-expiry horizon). */
     double maxResolvedTimeout = 0.0;
+
+    // --- timeout-sweep deadline index (DESIGN.md §4) -------------------
+
+    /**
+     * One heap entry per live group. `key` is a lower bound on the
+     * first sweep time at which the group can be due (timed out, or a
+     * faded zombie); -inf marks a group the next sweep must visit
+     * regardless (timeout unresolved). Map nodes are stable, so the
+     * entry points at the group and the group records its heap index.
+     */
+    struct Deadline
+    {
+        common::SimTime key;
+        AutomatonGroup *group;
+    };
+
+    /** Binary min-heap on Deadline::key. */
+    std::vector<Deadline> deadlines;
+
+    /**
+     * Set when bulk surgery (restore, renumber, group moves) left the
+     * heap's pointers or keys behind; the next sweep rebuilds it.
+     * While set, the heap is empty and per-group updates are skipped.
+     */
+    bool deadlinesStale = false;
+
+    /** Reused per-sweep buffers (no allocation in steady state). */
+    std::vector<AutomatonGroup *> dueScratch;
+    std::vector<std::string> nameScratch;
+
+    /** Lower-bound key for the group's current state. */
+    common::SimTime deadlineKey(const AutomatonGroup &group) const;
+
+    /** Index a group, or lower its key if the new bound is earlier. */
+    void deadlineLower(AutomatonGroup &group);
+
+    /** Drop the heap entry at `index`. */
+    void deadlineRemoveAt(std::size_t index);
+
+    /** Heap primitives; each keeps the moved groups' heapIndex. */
+    void deadlinePlace(std::size_t index, const Deadline &entry);
+    void deadlineSiftUp(std::size_t index);
+    void deadlineSiftDown(std::size_t index);
+
+    /** Empty the heap and have the next sweep rebuild it. */
+    void markDeadlinesStale();
+
+    /** Re-index every live group from its current state. */
+    void rebuildDeadlines();
+
+    /** The group's timeout, consulting the resolver if unresolved. */
+    double resolvedTimeout(AutomatonGroup &group,
+                           const TimeoutResolver &resolver);
+
+    /** Drop all checking state (an empty, freshly built checker). */
+    void clearState();
 
     // --- seer-swarm shard support (DESIGN.md §14) ---------------------
 

@@ -1041,15 +1041,7 @@ ShardedChecker::restoreState(common::BinReader &in)
         shard->policy.defaultFallbacks = 0;
         InterleavedChecker &ck = *shard->checker;
         ck.setBirthLogs(nullptr, nullptr, nullptr);
-        ck.groups.clear();
-        ck.idsets.clear();
-        ck.groupToSet.clear();
-        ck.postings.clear();
-        ck.setsByContents.clear();
-        ck.removalCounts.clear();
-        ck.counters = CheckerStats{};
-        ck.nextGroupId = ck.nextIdSetId = ck.nextRivalSet = 1;
-        ck.maxResolvedTimeout = 0.0;
+        ck.clearState();
     }
     InterleavedChecker &host = *shards[0]->checker;
     bool ok = host.restoreState(in);

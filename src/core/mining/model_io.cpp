@@ -1,6 +1,7 @@
 #include "core/mining/model_io.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -82,6 +83,21 @@ decodeModelToken(const std::string &token)
 
 namespace {
 
+/**
+ * Parse a whole field as a number. False (never an exception) on an
+ * empty field, trailing junk, a sign an unsigned type cannot hold, or
+ * a value out of the type's range.
+ */
+template <typename T>
+bool
+parseNumber(const std::string &field, T &out)
+{
+    const char *first = field.data();
+    const char *last = first + field.size();
+    auto [end, ec] = std::from_chars(first, last, out);
+    return ec == std::errc() && end == last;
+}
+
 /** Shortest decimal that round-trips the double exactly. */
 std::string
 formatLatency(double value)
@@ -103,18 +119,12 @@ bool
 parseLatencyStats(const std::vector<std::string> &fields,
                   std::size_t offset, LatencyStats &stats)
 {
-    if (fields.size() != offset + 5)
-        return false;
-    try {
-        stats.count = std::stoull(fields[offset]);
-        stats.p50 = std::stod(fields[offset + 1]);
-        stats.p95 = std::stod(fields[offset + 2]);
-        stats.p99 = std::stod(fields[offset + 3]);
-        stats.maxSeen = std::stod(fields[offset + 4]);
-    } catch (...) {
-        return false;
-    }
-    return true;
+    return fields.size() == offset + 5 &&
+           parseNumber(fields[offset], stats.count) &&
+           parseNumber(fields[offset + 1], stats.p50) &&
+           parseNumber(fields[offset + 2], stats.p95) &&
+           parseNumber(fields[offset + 3], stats.p99) &&
+           parseNumber(fields[offset + 4], stats.maxSeen);
 }
 
 } // namespace
@@ -310,10 +320,9 @@ loadModels(std::istream &in, ModelSourceMap *source_map)
                 return std::nullopt;
             auto service = decodeModelToken(fields[2]);
             auto text = decodeModelToken(fields[3]);
-            if (!service || !text)
+            logging::TemplateId file_id = 0;
+            if (!service || !text || !parseNumber(fields[1], file_id))
                 return std::nullopt;
-            logging::TemplateId file_id = static_cast<logging::TemplateId>(
-                std::stoul(fields[1]));
             logging::TemplateId interned =
                 bundle.catalog->intern(*service, *text);
             remap[file_id] = interned;
@@ -322,58 +331,54 @@ loadModels(std::istream &in, ModelSourceMap *source_map)
             if (fields.size() != 4 || pending.open)
                 return std::nullopt;
             auto name = decodeModelToken(fields[1]);
-            if (!name)
+            if (!name || !parseNumber(fields[2], pending.event_count) ||
+                !parseNumber(fields[3], pending.edge_count))
                 return std::nullopt;
             pending.name = *name;
-            pending.event_count = std::stoul(fields[2]);
-            pending.edge_count = std::stoul(fields[3]);
             pending.open = true;
             pending.lines.declLine = line_no;
         } else if (kind == "event") {
             if (fields.size() != 4 || !pending.open)
                 return std::nullopt;
-            std::size_t index = std::stoul(fields[1]);
-            if (index != pending.events.size())
+            std::size_t index = 0;
+            logging::TemplateId file_id = 0;
+            int occurrence = 0;
+            if (!parseNumber(fields[1], index) ||
+                index != pending.events.size() ||
+                !parseNumber(fields[2], file_id) ||
+                !parseNumber(fields[3], occurrence))
                 return std::nullopt;
-            logging::TemplateId file_id = static_cast<logging::TemplateId>(
-                std::stoul(fields[2]));
             auto it = remap.find(file_id);
             if (it == remap.end())
                 return std::nullopt;
-            pending.events.push_back(
-                {it->second, std::stoi(fields[3])});
+            pending.events.push_back({it->second, occurrence});
             pending.lines.eventLines.push_back(line_no);
         } else if (kind == "edge") {
             if (fields.size() != 4 || !pending.open)
                 return std::nullopt;
-            pending.edges.push_back({std::stoi(fields[1]),
-                                     std::stoi(fields[2]),
-                                     fields[3] == "1"});
+            DependencyEdge edge;
+            if (!parseNumber(fields[1], edge.from) ||
+                !parseNumber(fields[2], edge.to))
+                return std::nullopt;
+            edge.strong = fields[3] == "1";
+            pending.edges.push_back(edge);
             pending.lines.edgeLines.try_emplace(
                 {pending.edges.back().from, pending.edges.back().to},
                 line_no);
         } else if (kind == "tasklat") {
             if (fields.size() != 7 || !pending.open)
                 return std::nullopt;
-            try {
-                pending.profile.runs = std::stoull(fields[1]);
-            } catch (...) {
-                return std::nullopt;
-            }
-            if (!parseLatencyStats(fields, 2, pending.profile.total))
+            if (!parseNumber(fields[1], pending.profile.runs) ||
+                !parseLatencyStats(fields, 2, pending.profile.total))
                 return std::nullopt;
         } else if (kind == "edgelat") {
             if (fields.size() != 8 || !pending.open)
                 return std::nullopt;
             std::pair<int, int> edge;
             LatencyStats stats;
-            try {
-                edge.first = std::stoi(fields[1]);
-                edge.second = std::stoi(fields[2]);
-            } catch (...) {
-                return std::nullopt;
-            }
-            if (!parseLatencyStats(
+            if (!parseNumber(fields[1], edge.first) ||
+                !parseNumber(fields[2], edge.second) ||
+                !parseLatencyStats(
                     {fields.begin() + 3, fields.end()}, 0, stats))
                 return std::nullopt;
             pending.profile.edges[edge] = stats;
@@ -385,11 +390,8 @@ loadModels(std::istream &in, ModelSourceMap *source_map)
                 bundle.certificate.present) {
                 return std::nullopt;
             }
-            try {
-                bundle.certificate.fingerprint = std::stoull(fields[1]);
-            } catch (...) {
+            if (!parseNumber(fields[1], bundle.certificate.fingerprint))
                 return std::nullopt;
-            }
             bundle.certificate.present = true;
         } else if (kind == "verdict") {
             if (fields.size() != 5 || pending.open ||
@@ -399,18 +401,10 @@ loadModels(std::istream &in, ModelSourceMap *source_map)
             SignatureVerdictRecord record;
             logging::TemplateId file_id = 0;
             auto word = decodeModelToken(fields[2]);
-            if (!word)
+            if (!word || !parseNumber(fields[1], file_id) ||
+                !parseNumber(fields[3], record.automata) ||
+                !parseNumber(fields[4], record.sites))
                 return std::nullopt;
-            try {
-                file_id = static_cast<logging::TemplateId>(
-                    std::stoul(fields[1]));
-                record.automata =
-                    static_cast<std::uint32_t>(std::stoul(fields[3]));
-                record.sites =
-                    static_cast<std::uint32_t>(std::stoul(fields[4]));
-            } catch (...) {
-                return std::nullopt;
-            }
             auto it = remap.find(file_id);
             if (it == remap.end())
                 return std::nullopt; // verdict on an unknown template

@@ -32,10 +32,14 @@ struct TimeoutPolicy
     std::map<std::string, double> perTask;
 
     /**
-     * Resolution tallies (seer-scope, DESIGN.md §11): how often the
-     * policy was consulted and how often no per-task entry applied —
-     * a high fallback share means the estimator never saw the tasks
-     * actually in flight. Mutable: resolution is semantically const.
+     * Resolution tallies (seer-scope, DESIGN.md §11): per-group
+     * resolutions and how many of them found no per-task entry — a
+     * high fallback share means the estimator never saw the tasks
+     * actually in flight. The checker resolves a group once when a
+     * sweep first sees it and again after its candidate set narrows
+     * (DESIGN.md §4), on either engine, so these count groups and
+     * narrowings, not sweeps. Mutable: resolution is semantically
+     * const.
      */
     mutable std::uint64_t resolutions = 0;
     mutable std::uint64_t defaultFallbacks = 0;

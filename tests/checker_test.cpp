@@ -525,15 +525,21 @@ TEST_F(CheckerTest, ErrorOnZombiePrefersLiveGroup)
 
 TEST_F(CheckerTest, ResolverOverloadAppliesPerTaskTimeouts)
 {
+    // Resolver grants "boot" a long timeout: no report at +15 s, a
+    // report once the 30 s have passed.
+    auto per_task = [](const std::vector<std::string> &tasks) {
+        return !tasks.empty() && tasks[0] == "boot" ? 30.0 : 5.0;
+    };
     feed("A", {"IP1"});
-    // Resolver grants "boot" a long timeout: no report at +15 s.
-    auto quiet = checker->sweepTimeouts(
-        clock + 15.0, [](const std::vector<std::string> &tasks) {
-            return !tasks.empty() && tasks[0] == "boot" ? 30.0 : 5.0;
-        });
-    EXPECT_TRUE(quiet.empty());
-    // And a short one fires at the same instant.
-    auto loud = checker->sweepTimeouts(
+    EXPECT_TRUE(checker->sweepTimeouts(clock + 15.0, per_task).empty());
+    EXPECT_EQ(checker->sweepTimeouts(clock + 31.0, per_task).size(), 1u);
+
+    // And a short one fires at +15 s. A checker keeps one resolver for
+    // its lifetime (timeouts are resolved once per candidate set), so
+    // the short resolver gets a checker of its own.
+    InterleavedChecker other(CheckerConfig{}, {boot.get()});
+    other.feed(makeMessage(letters, "A", {"IP2"}, nextRecord++, clock));
+    auto loud = other.sweepTimeouts(
         clock + 15.0,
         [](const std::vector<std::string> &) { return 5.0; });
     EXPECT_EQ(loud.size(), 1u);

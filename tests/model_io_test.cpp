@@ -159,6 +159,56 @@ TEST(ModelIo, RejectsMalformedFiles)
                      .has_value());
 }
 
+TEST(ModelIo, MalformedNumbersAreRejectedNotThrown)
+{
+    // Every numeric field, broken in each way a checked parse must
+    // refuse: not a number, trailing junk, a sign on an unsigned field,
+    // and out of range. The loader returns nullopt; it never throws.
+    const std::string head = "cloudseer-models 1\n";
+    const std::string tpl = "template 0 svc A\n";
+    const std::string open = "automaton t 1 0\n";
+    const std::string event = "event 0 0 0\n";
+    const std::string lat = "tasklat 5 5 1 2 3 4\n";
+    const std::vector<std::string> bad = {
+        head + "template notanumber svc-api A\n",
+        head + "template 7x svc A\n",
+        head + "template -1 svc A\n",
+        head + "template 99999999999999999999 svc A\n",
+        head + "template 4294967296 svc A\n",
+        head + tpl + "automaton t one 0\n",
+        head + tpl + "automaton t 1 -3\n",
+        head + tpl + "automaton t 1 0\nevent zero 0 0\nend\n",
+        head + tpl + "automaton t 1 0\nevent 0 x 0\nend\n",
+        head + tpl + "automaton t 1 0\nevent 0 0 1e3\nend\n",
+        head + tpl + "automaton t 1 1\n" + event + "edge a 0 0\nend\n",
+        head + tpl + "automaton t 1 1\n" + event +
+            "edge 0 99999999999 0\nend\n",
+        head + tpl + open + event + "tasklat many 5 1 2 3 4\nend\n",
+        head + tpl + open + event + "tasklat 5 5 1 2 3 fast\nend\n",
+        head + tpl + open + event + "tasklat 5 -5 1 2 3 4\nend\n",
+        head + tpl + open + event + lat +
+            "edgelat 0 x 5 1 2 3 4\nend\n",
+        head + tpl + open + event + lat +
+            "edgelat 0 0 5 1 2 3 1e999\nend\n",
+        head + "certificate 0xff\n",
+        head + tpl + "certificate 1\nverdict x certified 1 1\n",
+        head + tpl + "certificate 1\nverdict 0 certified 1 -1\n",
+    };
+    for (const std::string &text : bad) {
+        std::optional<ModelBundle> loaded;
+        EXPECT_NO_THROW(loaded = loadModelsFromString(text)) << text;
+        EXPECT_FALSE(loaded.has_value()) << text;
+    }
+    // The same shapes with sound numbers still load.
+    EXPECT_TRUE(loadModelsFromString(head + tpl + open + event + lat +
+                                     "end\n")
+                    .has_value());
+    EXPECT_TRUE(loadModelsFromString(head + tpl +
+                                     "certificate 18446744073709551615\n"
+                                     "verdict 0 certified 1 2\n")
+                    .has_value());
+}
+
 TEST(ModelIo, EmptyBundleIsValid)
 {
     logging::TemplateCatalog catalog;

@@ -438,6 +438,28 @@ TEST(SeerLintCli, CatalogParityWithTheAnalysisLayer)
     EXPECT_NE(run(bin + " --explain SL999").status, 0);
 }
 
+// A bundle whose template id is not a number used to abort seer_lint
+// from an uncaught std::invalid_argument (exit 134). It must be a
+// diagnostic and an ordinary nonzero exit.
+TEST(SeerLintCli, MalformedNumberIsADiagnosticNotAnAbort)
+{
+    ToolDir dir("lint_bad_number");
+    std::string path = dir.file("bad_number.model");
+    {
+        std::ofstream out(path);
+        out << "cloudseer-models 1\n"
+            << "template notanumber svc-api Request%20received\n";
+    }
+    RunResult result = run(std::string(SEER_LINT_BIN) + " " + path);
+    EXPECT_NE(result.status, -1) << "killed by a signal: "
+                                 << result.output;
+    EXPECT_NE(result.status, 0) << result.output;
+    EXPECT_NE(result.status, 134) << result.output;
+    EXPECT_NE(result.output.find("not a valid model bundle"),
+              std::string::npos)
+        << result.output;
+}
+
 // --- seer_pulse -----------------------------------------------------
 
 namespace {
